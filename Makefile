@@ -123,7 +123,8 @@ verify: build test lint
 # too, and the serve smoke drives the full daemon lifecycle through the
 # real binary. The energy and scenario packages join the race list
 # because DER dispatch state is read by the parallel stats/telemetry
-# planes, and the scenario smoke runs every shipped workload end to end.
+# planes, the scenario smoke runs every shipped workload end to end, and
+# the telemetry smoke scrapes a live run's metrics, trace and journal.
 ci: verify
 	$(GO) vet ./...
 	$(GO) test -race ./internal/core ./internal/energy ./internal/fed ./internal/fednet ./internal/forecast ./internal/nn ./internal/pecan ./internal/rng ./internal/sched ./internal/scenario ./internal/serve ./internal/store ./internal/tensor ./internal/wire ./internal/telemetry
@@ -131,6 +132,7 @@ ci: verify
 	$(MAKE) bench-store STORE_HOMES=64,256 STORE_XL=0
 	$(MAKE) serve-smoke
 	$(MAKE) scenario-smoke
+	$(MAKE) telemetry-smoke
 
 clean:
 	$(GO) clean ./...

@@ -42,10 +42,11 @@ type commsCell struct {
 	// RoundWallNs is the mean wall time of one full round (broadcast,
 	// drain, aggregate, join), steady-state rounds only.
 	RoundWallNs float64 `json:"round_wall_ns"`
-	// AggScratchFloats is each aggregating agent's peak float64 scratch:
-	// the streaming fold stages one O(P) sum regardless of fleet size,
-	// while the legacy dense path materializes all N parameter sets
-	// before averaging — O(N·P).
+	// AggScratchFloats is each aggregating agent's float64 scratch. Every
+	// tier decodes each sender's broadcast once per round into a set
+	// shared by all receivers (N sets of P, a 1/N share each) and stages
+	// one O(P) sum per agent: 2P regardless of fleet size, where decoding
+	// per receiver held all N received sets per agent — O(N·P).
 	AggScratchFloats int64 `json:"agg_scratch_floats_per_agent"`
 }
 
@@ -125,12 +126,8 @@ func measureCommsCell(agents, rounds int, seed int64, tier commsTier) (commsCell
 		Codec:       tier.name,
 		Rounds:      rounds,
 		ParamFloats: P,
-		// Streaming fold: one staged O(P) sum per agent. Legacy dense
-		// aggregation decodes every arriving set first: N sets of P.
-		AggScratchFloats: int64(P),
-	}
-	if tier.opts == nil {
-		cell.AggScratchFloats = int64(agents * P)
+		// A 1/N share of the N shared decoded sets plus one staged sum.
+		AggScratchFloats: int64(2 * P),
 	}
 
 	var steady fed.CommsTotals

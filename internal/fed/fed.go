@@ -160,17 +160,11 @@ func DecentralizedRound(net *fednet.Network, models []*nn.Sequential, kind strin
 	return BeginDecentralizedRound(net, models, kind, alpha, nil).Join()
 }
 
-// collectSets gathers one agent's aggregate inputs: its own snapshot plus
-// every received payload of the right kind, each gated through wire
-// validation and the divergence filter. Exclusions land in the report.
-func (rep *RoundReport) collectSets(net *fednet.Network, agent int, template []*tensor.Matrix, kind string, own []*tensor.Matrix) [][]*tensor.Matrix {
-	return rep.collectFrom(net.Collect(agent), agent, template, kind, own, nil)
-}
-
-// collectFrom is collectSets over an already-drained inbox. With a non-nil
-// workspace each payload decodes into a pooled set (reset the pool between
-// aggregating agents); with nil it allocates fresh matrices per payload.
-func (rep *RoundReport) collectFrom(msgs []fednet.Message, agent int, template []*tensor.Matrix, kind string, own []*tensor.Matrix, ws *RoundWorkspace) [][]*tensor.Matrix {
+// collectFrom gathers one agent's aggregate inputs from a drained inbox:
+// its own snapshot plus every received payload of the right kind, each
+// gated through wire validation and the divergence filter. Exclusions land
+// in the report.
+func (rep *RoundReport) collectFrom(msgs []fednet.Message, agent int, template []*tensor.Matrix, kind string, own []*tensor.Matrix) [][]*tensor.Matrix {
 	var sets [][]*tensor.Matrix
 	if own != nil {
 		if paramsClean(own) {
@@ -183,14 +177,7 @@ func (rep *RoundReport) collectFrom(msgs []fednet.Message, agent int, template [
 		if msg.Kind != kind {
 			continue
 		}
-		var got []*tensor.Matrix
-		var err error
-		if ws != nil {
-			got = ws.nextDecodeSet(len(template))
-			err = UnmarshalParamsInto(got, template, msg.Payload)
-		} else {
-			got, err = UnmarshalParamsLike(template, msg.Payload)
-		}
+		got, err := UnmarshalParamsLike(template, msg.Payload)
 		if err != nil {
 			rep.reject(agent, msg.From, msg.Kind, err.Error(), true)
 			continue
@@ -198,15 +185,6 @@ func (rep *RoundReport) collectFrom(msgs []fednet.Message, agent int, template [
 		if !paramsClean(got) {
 			rep.reject(agent, msg.From, msg.Kind, "NaN/Inf parameters", false)
 			continue
-		}
-		// Adversary screening runs after structural validation: the gates
-		// compare a well-formed payload against the receiver's own
-		// snapshot. Never self-screen — own folds without gating.
-		if ws != nil && ws.Adv != nil && msg.From != agent && own != nil {
-			if reason, bad := ws.Adv.Suspect(got, own); bad {
-				rep.rejectByzantine(agent, msg.From, msg.Kind, reason)
-				continue
-			}
 		}
 		sets = append(sets, got)
 	}
@@ -284,7 +262,7 @@ func CentralizedRound(net *fednet.Network, models []*nn.Sequential, kind string,
 			rep.BytesReceived += int64(len(msg.Payload))
 		}
 	}
-	sets := rep.collectFrom(inbox, 0, hubBase, kind, own, nil)
+	sets := rep.collectFrom(inbox, 0, hubBase, kind, own)
 	rep.countSets(len(sets))
 	if len(sets) == 0 {
 		return rep, fmt.Errorf("fed: hub (kind %q, %d corrupt-rejected, %d NaN-rejected, %d spokes crashed — %s): %w",

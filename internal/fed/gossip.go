@@ -75,7 +75,7 @@ func GossipRound(net *fednet.Network, models []*nn.Sequential, kind string, alph
 				rep.BytesReceived += int64(len(msg.Payload))
 			}
 		}
-		sets := rep.collectFrom(inbox, i, base, kind, snaps[i], nil)
+		sets := rep.collectFrom(inbox, i, base, kind, snaps[i])
 		rep.countSets(nn.AverageParamSets(base, sets...))
 		if len(sets) == 0 {
 			starved = append(starved, i)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fednet"
 	"repro/internal/nn"
+	"repro/internal/sched"
 	"repro/internal/tensor"
 	"repro/internal/wire"
 )
@@ -15,7 +16,7 @@ import (
 // decentralized round (snapshot, marshal, broadcast, inbox drain) runs
 // synchronously on the caller — every fednet interaction stays on the
 // simulation's deterministic clock and RNG — while the aggregation half
-// (unmarshal, validation, averaging) runs in one background goroutine that
+// (unmarshal, validation, averaging) runs in a background goroutine that
 // writes into staged double buffers. Join blocks until aggregation finishes
 // and installs the staged means into the live base layers in agent order.
 //
@@ -37,12 +38,13 @@ type RoundWorkspace struct {
 	// Comms, when non-nil, switches the workspace's rounds onto the
 	// compressed wire plane: snapshots encode through the Exchange
 	// (delta/top-k coding against each sender's last broadcast) instead
-	// of the dense PFP1 marshal, and aggregation streams each accepted
-	// payload straight into the staged sum — O(P) scratch per agent
-	// instead of decoding every set before averaging. All rounds sharing
-	// one Exchange must share one workspace (or otherwise serialize),
-	// because the Exchange's reference store advances with every encode.
-	// Nil keeps the legacy dense path, bit-for-bit.
+	// of the dense PFP1 marshal. All rounds sharing one Exchange must
+	// share one workspace (or otherwise serialize), because the
+	// Exchange's reference store advances with every encode. Nil keeps
+	// the dense PFP1 plane. On either plane, aggregation validates and
+	// decodes each distinct received payload once per round into a
+	// pooled set shared by every receiver — O(N·P) decoded sets per
+	// workspace plus each agent's O(P) staged sum.
 	Comms *wire.Exchange
 
 	// Tel, when non-nil, reports every round this workspace carries —
@@ -66,12 +68,26 @@ type RoundWorkspace struct {
 	decode     [][]*tensor.Matrix
 	decodeUsed int
 
-	// foldComp is the Kahan compensation scratch for the streaming fold
-	// (one O(P) buffer — aggregation is sequential per agent, so it is
-	// reused across the fleet). Allocated only when Comms opts in.
-	foldComp [][]float64
+	// shared caches, per sender, the round's verdict on that sender's
+	// broadcast bytes (ws.marshal[sender]); folds lists, per agent, the
+	// sets its mean folds; comps is each agent's Kahan scratch.
+	shared []sharedDecode
+	folds  [][][]*tensor.Matrix
+	comps  [][][]float64
+
+	// aggregator, when non-nil, replaces PendingRound.aggregate — a seam
+	// for the equivalence suite's reference aggregator.
+	aggregator func(p *PendingRound, msgs [][]fednet.Message, kind string, ws *RoundWorkspace)
 
 	inFlight bool
+}
+
+// sharedDecode is one sender's broadcast as validated against tpl's shapes
+// (tpl nil: not yet seen this round): the decoded set, or the error.
+type sharedDecode struct {
+	tpl []*tensor.Matrix
+	set []*tensor.Matrix
+	err error
 }
 
 // ensureAgents sizes the per-agent buffer tables for n agents.
@@ -80,6 +96,9 @@ func (ws *RoundWorkspace) ensureAgents(n int) {
 		ws.marshal = append(ws.marshal, make([][]byte, n-len(ws.marshal))...)
 		ws.snaps = append(ws.snaps, make([][]*tensor.Matrix, n-len(ws.snaps))...)
 		ws.staged = append(ws.staged, make([][]*tensor.Matrix, n-len(ws.staged))...)
+		ws.shared = append(ws.shared, make([]sharedDecode, n-len(ws.shared))...)
+		ws.folds = append(ws.folds, make([][][]*tensor.Matrix, n-len(ws.folds))...)
+		ws.comps = append(ws.comps, make([][][]float64, n-len(ws.comps))...)
 	}
 }
 
@@ -100,21 +119,34 @@ func (ws *RoundWorkspace) nextDecodeSet(n int) []*tensor.Matrix {
 	return set
 }
 
-// ensureComp shapes the Kahan compensation scratch like the given set and
-// zeroes it for a fresh aggregation.
-func (ws *RoundWorkspace) ensureComp(like []*tensor.Matrix) [][]float64 {
-	if cap(ws.foldComp) < len(like) {
-		ws.foldComp = make([][]float64, len(like))
+// ensureComp shapes a Kahan compensation buffer like the given set, reusing
+// buf's capacity, and zeroes it for a fresh aggregation.
+func ensureComp(buf [][]float64, like []*tensor.Matrix) [][]float64 {
+	if cap(buf) < len(like) {
+		buf = make([][]float64, len(like))
 	}
-	ws.foldComp = ws.foldComp[:len(like)]
+	buf = buf[:len(like)]
 	for i, m := range like {
-		if cap(ws.foldComp[i]) < m.Size() {
-			ws.foldComp[i] = make([]float64, m.Size())
+		if cap(buf[i]) < m.Size() {
+			buf[i] = make([]float64, m.Size())
 		}
-		ws.foldComp[i] = ws.foldComp[i][:m.Size()]
-		clear(ws.foldComp[i])
+		buf[i] = buf[i][:m.Size()]
+		clear(buf[i])
 	}
-	return ws.foldComp
+	return buf
+}
+
+// sameShapes reports whether two parameter sets have identical shapes.
+func sameShapes(a, b []*tensor.Matrix) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Rows != b[i].Rows || a[i].Cols != b[i].Cols {
+			return false
+		}
+	}
+	return true
 }
 
 // ensureParamsLike shapes dst as a reusable deep buffer matching the shapes
@@ -270,26 +302,18 @@ func BeginDecentralizedRound(net *fednet.Network, models []*nn.Sequential, kind 
 	p.used = make([]int, len(p.agents))
 	p.ws = ws
 	ws.inFlight = true
-	// Aggregate in the background: one goroutine, agents in ascending order,
-	// so rejects and set counts land in the report in the same order the
-	// synchronous round produces.
+	// Aggregate in the background. Rejects and set counts are recorded
+	// agent by agent in ascending order, so they land in the report in the
+	// same order the synchronous round produces.
 	go func() {
 		var foldStart time.Time
 		if p.tel != nil {
 			foldStart = time.Now()
 		}
-		if ws.Comms != nil {
-			if ws.Adv != nil && ws.Adv.DefenseEnabled() {
-				p.aggregateScreened(msgs, kind, ws)
-			} else {
-				p.aggregateStreaming(msgs, kind, ws)
-			}
+		if ws.aggregator != nil {
+			ws.aggregator(p, msgs, kind, ws)
 		} else {
-			for idx, i := range p.agents {
-				ws.decodeUsed = 0 // agent idx's sets are consumed before idx+1 decodes
-				sets := p.rep.collectFrom(msgs[i], i, p.bases[idx], kind, ws.snaps[i], ws)
-				p.used[idx] = nn.AverageParamSets(p.staged[idx], sets...)
-			}
+			p.aggregate(msgs, kind, ws)
 		}
 		if p.tel != nil {
 			p.tel.observeFold(time.Since(foldStart))
@@ -299,84 +323,25 @@ func BeginDecentralizedRound(net *fednet.Network, models []*nn.Sequential, kind 
 	return p
 }
 
-// aggregateStreaming is the compressed-plane aggregation half. Instead of
-// decoding every payload into its own parameter set and averaging the pile
-// (O(N·P) scratch at the aggregator), each accepted payload folds straight
-// into the staged sum, so scratch stays O(P) no matter how many peers
-// contributed. Two passes keep the mean exact: pass 1 validates payloads
-// and fixes the divisor, pass 2 folds the agent's own snapshot first and
-// then the messages in arrival order — exactly the element-order
-// nn.AverageParamSets applies to decoded sets, so the plain fold is
-// bit-identical to the dense path. The opt-in Kahan fold trades that
-// equality for compensated summation.
-func (p *PendingRound) aggregateStreaming(msgs [][]fednet.Message, kind string, ws *RoundWorkspace) {
-	x := ws.Comms
-	kahan := x.Options().KahanFold
-	var accepted []fednet.Message
+// aggregate is the round's aggregation half, on either plane. Every
+// receiver of a broadcast holds the very same []byte, so each distinct
+// payload is validated and decoded once per round (decodeOnce) and the
+// decoded set is shared. Pass 1 walks agents in ascending order —
+// own-snapshot divergence check, then each message's shared verdict and,
+// with the defense on, the Suspect gates against the agent's own snapshot
+// — recording rejects exactly where a per-receiver decode would. Pass 2
+// folds, agents in parallel: own snapshot first, then accepted sets in
+// arrival order, staged += v·inv — the element order and arithmetic of
+// nn.AverageParamSets and Exchange.FoldInto, so lossless compressed
+// rounds stay bit-identical to dense ones. The opt-in Kahan fold trades
+// that equality for compensated summation. A top-k payload folds its
+// reconstructed value (reference + correction) in one step.
+func (p *PendingRound) aggregate(msgs [][]fednet.Message, kind string, ws *RoundWorkspace) {
+	ws.decodeUsed = 0
+	clear(ws.shared)
+	screen := ws.Adv != nil && ws.Adv.DefenseEnabled()
 	for idx, i := range p.agents {
-		base := p.bases[idx]
-		ownClean := paramsClean(ws.snaps[i])
-		if !ownClean {
-			p.rep.reject(i, i, kind, "NaN/Inf parameters", false)
-		}
-		accepted = accepted[:0]
-		for _, msg := range msgs[i] {
-			if msg.Kind != kind {
-				continue
-			}
-			if err := x.Validate(msg.From, kind, base, msg.Payload); err != nil {
-				p.rep.reject(i, msg.From, msg.Kind, err.Error(), !errors.Is(err, wire.ErrDiverged))
-				continue
-			}
-			accepted = append(accepted, msg)
-		}
-		total := len(accepted)
-		if ownClean {
-			total++
-		}
-		p.used[idx] = total
-		if total == 0 {
-			continue
-		}
-		inv := 1.0 / float64(total)
-		staged := p.staged[idx]
-		for _, m := range staged {
-			m.Zero()
-		}
-		var comp [][]float64
-		if kahan {
-			comp = ws.ensureComp(base)
-		}
-		if ownClean {
-			wire.FoldLocal(staged, comp, ws.snaps[i], inv)
-		}
-		for _, msg := range accepted {
-			if err := x.FoldInto(staged, comp, msg.From, kind, msg.Payload, inv); err != nil {
-				// Validate guaranteed this fold would succeed; failing here
-				// is a codec bug, not a fabric fault — fail the round loudly
-				// rather than install a half-folded aggregate.
-				p.err = fmt.Errorf("fed: folding payload from agent %d: %w", msg.From, err)
-				return
-			}
-		}
-	}
-}
-
-// aggregateScreened is the compressed-plane aggregation half with the
-// adversary defense enabled. Streaming folds can't screen a payload they
-// never materialize, so this path decodes every accepted payload into a
-// pooled set, runs the Suspect gates against the receiver's own
-// snapshot, and averages survivors dense-style — the same element order
-// as the streaming fold, at the cost of O(N·P) transient scratch. It
-// runs only when a scenario turns the defense on; plain runs keep the
-// untouched streaming path.
-func (p *PendingRound) aggregateScreened(msgs [][]fednet.Message, kind string, ws *RoundWorkspace) {
-	x := ws.Comms
-	var sets [][]*tensor.Matrix
-	for idx, i := range p.agents {
-		base := p.bases[idx]
-		ws.decodeUsed = 0 // agent idx's sets are consumed before idx+1 decodes
-		sets = sets[:0]
+		sets := ws.folds[idx][:0]
 		if paramsClean(ws.snaps[i]) {
 			sets = append(sets, ws.snaps[i])
 		} else {
@@ -386,23 +351,79 @@ func (p *PendingRound) aggregateScreened(msgs [][]fednet.Message, kind string, w
 			if msg.Kind != kind {
 				continue
 			}
-			if err := x.Validate(msg.From, kind, base, msg.Payload); err != nil {
+			got, err := ws.decodeOnce(msg, p.bases[idx])
+			if err != nil {
 				p.rep.reject(i, msg.From, msg.Kind, err.Error(), !errors.Is(err, wire.ErrDiverged))
 				continue
 			}
-			got := ensureParamsLike(ws.nextDecodeSet(len(base)), base)
-			if err := x.DecodeInto(got, msg.From, kind, msg.Payload); err != nil {
-				p.rep.reject(i, msg.From, msg.Kind, err.Error(), true)
-				continue
-			}
-			if reason, bad := ws.Adv.Suspect(got, ws.snaps[i]); bad {
-				p.rep.rejectByzantine(i, msg.From, msg.Kind, reason)
-				continue
+			if screen {
+				if reason, bad := ws.Adv.Suspect(got, ws.snaps[i]); bad {
+					p.rep.rejectByzantine(i, msg.From, msg.Kind, reason)
+					continue
+				}
 			}
 			sets = append(sets, got)
 		}
-		p.used[idx] = nn.AverageParamSets(p.staged[idx], sets...)
+		ws.folds[idx] = sets
+		p.used[idx] = len(sets)
 	}
+	kahan := ws.Comms != nil && ws.Comms.Options().KahanFold
+	sched.Default().ParallelFor(len(p.agents), 1, func(lo, hi int) {
+		for idx := lo; idx < hi; idx++ {
+			sets := ws.folds[idx]
+			if len(sets) == 0 {
+				continue
+			}
+			staged := p.staged[idx]
+			for _, m := range staged {
+				m.Zero()
+			}
+			var comp [][]float64
+			if kahan {
+				ws.comps[idx] = ensureComp(ws.comps[idx], staged)
+				comp = ws.comps[idx]
+			}
+			inv := 1.0 / float64(len(sets))
+			for _, set := range sets {
+				wire.FoldLocal(staged, comp, set, inv)
+			}
+		}
+	})
+}
+
+// decodeOnce validates and decodes one received payload for an agent whose
+// base layers are shaped like template: PFW2 through the Exchange, or
+// dense PFP1 plus the divergence filter (a NaN/Inf set is
+// wire.ErrDiverged). A payload that is its sender's broadcast buffer (same
+// backing array and length) is decoded once per round and the verdict is
+// shared by every receiver; any other byte string — a copy corrupted in
+// transit — is validated on its own. Only accepted payloads keep a pooled
+// set.
+func (ws *RoundWorkspace) decodeOnce(msg fednet.Message, template []*tensor.Matrix) ([]*tensor.Matrix, error) {
+	var entry *sharedDecode
+	if b := ws.marshal[msg.From]; len(b) > 0 && len(b) == len(msg.Payload) && &b[0] == &msg.Payload[0] {
+		entry = &ws.shared[msg.From]
+		if entry.tpl != nil && sameShapes(entry.tpl, template) {
+			return entry.set, entry.err
+		}
+	}
+	set := ws.nextDecodeSet(len(template))
+	var err error
+	if ws.Comms == nil {
+		if err = UnmarshalParamsInto(set, template, msg.Payload); err == nil && !paramsClean(set) {
+			err = wire.ErrDiverged
+		}
+	} else if err = ws.Comms.Validate(msg.From, msg.Kind, template, msg.Payload); err == nil {
+		err = ws.Comms.DecodeInto(ensureParamsLike(set, template), msg.From, msg.Kind, msg.Payload)
+	}
+	if err != nil {
+		ws.decodeUsed-- // hand the set back
+		set = nil
+	}
+	if entry != nil {
+		*entry = sharedDecode{tpl: template, set: set, err: err}
+	}
+	return set, err
 }
 
 // Join waits for the round's aggregation to finish, installs each staged

@@ -421,7 +421,8 @@ func foldRound(rep *RoundReport, ws *RoundWorkspace, agent int, kind string, tem
 	}
 	var comp [][]float64
 	if x.Options().KahanFold {
-		comp = ws.ensureComp(template)
+		ws.comps[agent] = ensureComp(ws.comps[agent], template)
+		comp = ws.comps[agent]
 	}
 	if own != nil {
 		wire.FoldLocal(dst, comp, own, inv)

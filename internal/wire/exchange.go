@@ -75,7 +75,11 @@ func (x *Exchange) Options() Options { return x.opts }
 
 // Stats is a snapshot of an Exchange's codec counters.
 type Stats struct {
-	// PayloadsEncoded / PayloadsDecoded count EncodeInto and Validate calls.
+	// PayloadsEncoded counts EncodeInto calls. PayloadsDecoded counts
+	// Validate calls, i.e. the validations actually performed: fed rounds
+	// validate each distinct received byte string once per round, so a
+	// clean all-to-all broadcast counts one per sender, not one per
+	// delivery.
 	PayloadsEncoded uint64
 	PayloadsDecoded uint64
 	// BytesEncoded is the compressed payload bytes produced; DenseBytes is
@@ -374,19 +378,22 @@ func topKSpans(body []byte, template []*tensor.Matrix) ([]topKTensor, error) {
 	return tks, nil
 }
 
-// errOnce collects the first error from parallel workers.
-type errOnce struct {
+// spanErr keeps the error of the lowest-indexed failing span across
+// parallel workers, so a payload with several malformed segments reports
+// the same error whichever worker reaches its segment first.
+type spanErr struct {
 	mu  sync.Mutex
+	at  int
 	err error
 }
 
-func (e *errOnce) set(err error) {
+func (e *spanErr) set(at int, err error) {
 	if err == nil {
 		return
 	}
 	e.mu.Lock()
-	if e.err == nil {
-		e.err = err
+	if e.err == nil || at < e.at {
+		e.at, e.err = at, err
 	}
 	e.mu.Unlock()
 }
@@ -431,7 +438,7 @@ func (x *Exchange) Validate(sender int, kind string, template []*tensor.Matrix, 
 		if err != nil {
 			return err
 		}
-		var first errOnce
+		var first spanErr
 		var diverged atomic.Bool
 		sched.Default().ParallelFor(len(spans), 1, func(lo, hi int) {
 			for s := lo; s < hi; s++ {
@@ -443,7 +450,7 @@ func (x *Exchange) Validate(sender int, kind string, template []*tensor.Matrix, 
 						nan = true
 					}
 				})
-				first.set(err)
+				first.set(s, err)
 				if nan {
 					diverged.Store(true)
 				}
@@ -528,7 +535,7 @@ func (x *Exchange) FoldInto(staged []*tensor.Matrix, comp [][]float64, sender in
 		if err != nil {
 			return err
 		}
-		var first errOnce
+		var first spanErr
 		sched.Default().ParallelFor(len(spans), 1, func(lo, hi int) {
 			for s := lo; s < hi; s++ {
 				sp := spans[s]
@@ -538,7 +545,7 @@ func (x *Exchange) FoldInto(staged []*tensor.Matrix, comp [][]float64, sender in
 				if comp != nil {
 					cmp = comp[sp.ti][sp.lo:sp.hi]
 				}
-				first.set(foldDeltaSeg(sp.tokens, ref, dst, cmp, weight))
+				first.set(s, foldDeltaSeg(sp.tokens, ref, dst, cmp, weight))
 			}
 		})
 		return first.err
@@ -605,28 +612,30 @@ func foldDeltaSeg(tokens []byte, ref []uint64, dst, cmp []float64, weight float6
 }
 
 // FoldLocal folds an in-memory parameter set (an aggregator's own snapshot,
-// which never crosses the wire) with the same arithmetic FoldInto applies
-// to received payloads, so the streaming mean's fold order is uniform.
+// or a payload already decoded with DecodeInto) with the same arithmetic
+// FoldInto applies to received payloads, so the mean's fold order is
+// uniform. It runs serially and allocates nothing: callers fold many sets
+// and parallelize across aggregators instead.
 func FoldLocal(staged []*tensor.Matrix, comp [][]float64, src []*tensor.Matrix, weight float64) {
 	for i, p := range src {
-		dst := staged[i].Data
-		var cmp []float64
-		if comp != nil {
-			cmp = comp[i]
-		}
-		sched.Default().ParallelFor(len(dst), segElems, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				foldOne(dst, cmp, j, p.Data[j], weight)
+		dst := staged[i].Data[:len(p.Data)]
+		if comp == nil {
+			for j, v := range p.Data {
+				dst[j] += v * weight
 			}
-		})
+			continue
+		}
+		for j, v := range p.Data {
+			foldOne(dst, comp[i], j, v, weight)
+		}
 	}
 }
 
 // DecodeInto fully decodes a payload into dst, whose shapes are the
 // template. Bit patterns are reproduced exactly for dense and delta
 // payloads (including NaN payloads — DecodeInto does not reject them; that
-// is Validate's job). Used by tests and by star-topology paths that need
-// materialized parameters rather than a streaming fold.
+// is Validate's job). fed's aggregation decodes each distinct validated
+// payload once per round with it and shares the set across receivers.
 func (x *Exchange) DecodeInto(dst []*tensor.Matrix, sender int, kind string, payload []byte) error {
 	h, err := parseHeader(payload)
 	if err != nil {
@@ -659,13 +668,13 @@ func (x *Exchange) DecodeInto(dst []*tensor.Matrix, sender int, kind string, pay
 		if err != nil {
 			return err
 		}
-		var first errOnce
+		var first spanErr
 		sched.Default().ParallelFor(len(spans), 1, func(lo, hi int) {
 			for s := lo; s < hi; s++ {
 				sp := spans[s]
 				ref := rs.keys[b][sp.ti][sp.lo:sp.hi]
 				out := dst[sp.ti].Data[sp.lo:sp.hi]
-				first.set(walkDeltaSeg(sp.tokens, ref, len(out), func(j int, key uint64) {
+				first.set(s, walkDeltaSeg(sp.tokens, ref, len(out), func(j int, key uint64) {
 					out[j] = math.Float64frombits(bitsOf(key))
 				}))
 			}

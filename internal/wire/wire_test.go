@@ -511,3 +511,44 @@ func TestMonotoneKeyMapping(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeErrorDeterministic pins the reject reason of a hostile payload
+// with several malformed segments: segments are walked in parallel, and
+// the error reported must be the lowest-indexed segment's, run after run,
+// from every decoding entry point. The payload carries a valid checksum so
+// only the segment walks can catch it.
+func TestDecodeErrorDeterministic(t *testing.T) {
+	const rows, cols = 3, segElems // one tensor, three full segments
+	params := randParams(rand.New(rand.NewSource(5)), [][2]int{{rows, cols}})
+	x := NewExchange(Options{Level: Delta})
+	if _, err := x.EncodeInto(nil, 0, "k", params); err != nil { // epoch-0 keyframe
+		t.Fatal(err)
+	}
+	body := appendUvarint(nil, 1)
+	body = appendUvarint(body, rows)
+	body = appendUvarint(body, cols)
+	body = appendUvarint(body, 3)
+	for _, run := range []uint64{segElems, segElems - 1, segElems + 7} { // segments 1 and 2 are bad
+		seg := appendUvarint([]byte{0}, run)
+		body = appendUvarint(body, uint64(len(seg)))
+		body = append(body, seg...)
+	}
+	payload := append(appendHeader(nil, CodecDelta, flagDelta, 1), body...)
+	finishHeader(payload, 0)
+	if _, err := parseHeader(payload); err != nil {
+		t.Fatalf("crafted payload fails the envelope check: %v", err)
+	}
+	const want = "wire: segment decoded 4095 of 4096 elements"
+	staged, comp := likeSet(params), [][]float64{make([]float64, rows*cols)}
+	for run := 0; run < 200; run++ {
+		for name, err := range map[string]error{
+			"Validate":   x.Validate(0, "k", params, payload),
+			"FoldInto":   x.FoldInto(staged, comp, 0, "k", payload, 1),
+			"DecodeInto": x.DecodeInto(staged, 0, "k", payload),
+		} {
+			if err == nil || err.Error() != want {
+				t.Fatalf("run %d: %s error %v, want %q", run, name, err, want)
+			}
+		}
+	}
+}
